@@ -434,6 +434,15 @@ class DDSimulator:
                 default=0.0,
             )
         )
+        # Cluster kernels count the mask slots their candidate tiles
+        # computed; per kept pair, this is the search work a pair costs.
+        slots = [s["n_slots_computed"] for s in self._pair_stats
+                 if "n_slots_computed" in s]
+        if slots:
+            n_pairs = sum(w.n_pairs_local + w.n_pairs_nonlocal for w in self.workloads)
+            METRICS.gauge("md.pairsearch.slots_per_pair").set(
+                sum(slots) / max(n_pairs, 1)
+            )
         for w in self.workloads:
             for size in w.pulse_send_sizes:
                 METRICS.histogram("dd.pulse_send_atoms").observe(size)

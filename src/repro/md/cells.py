@@ -337,22 +337,26 @@ def build_clusters(
     hi: np.ndarray,
     m: int,
     *,
-    index_offset: int = 0,
-    n_total: int | None = None,
+    index: np.ndarray | None = None,
 ) -> ClusterLayout:
     """Group ``positions`` rows into :class:`ClusterLayout` clusters of ``m``.
 
-    ``positions`` may be a subset of a larger array (e.g. only the halo
-    rows): ``index_offset`` maps subset row ``k`` to global index
-    ``k + index_offset`` and ``n_total`` sets the padding sentinel (the
-    row count of the full array).  Column count is density-matched: the
-    ideal cluster cube side is ``(m / rho)^(1/3)``, so columns hold a few
-    clusters' worth of atoms each and z-chunking yields compact clusters.
+    ``index`` selects the rows to cluster (all rows when ``None``); the
+    layout holds those rows' indices into ``positions`` and pads with
+    ``positions.shape[0]``.  The DD cluster kernel clusters home atoms
+    and each halo zone class separately this way, over one shared
+    position array.  Column count is density-matched: the ideal cluster
+    cube side is ``(m / rho)^(1/3)``, so columns hold a few clusters'
+    worth of atoms each and z-chunking yields compact clusters.
     """
     positions = np.asarray(positions, dtype=np.float64)
+    n_total = positions.shape[0]
+    if index is None:
+        index = np.arange(n_total, dtype=np.int64)
+    else:
+        index = np.asarray(index, dtype=np.int64)
+        positions = positions[index]
     k = positions.shape[0]
-    if n_total is None:
-        n_total = k + index_offset
     if k == 0:
         return ClusterLayout(
             atoms=np.zeros((0, m), dtype=np.int64),
@@ -385,12 +389,11 @@ def build_clusters(
     cid = col_base[col_sorted] + rank_in_col // m
     slot = rank_in_col % m
     n_clusters = int(col_base[-1])
-    atoms = np.full((n_clusters, m), n_total, dtype=np.int64)
-    atoms[cid, slot] = order + index_offset
-    valid = atoms < n_total
-    padded = np.vstack([positions, np.zeros((1, 3))])
-    local = np.where(valid, atoms - index_offset, k)
-    xp = padded[local]
+    rows = np.full((n_clusters, m), k, dtype=np.int64)
+    rows[cid, slot] = order
+    valid = rows < k
+    atoms = np.append(index, n_total)[rows]
+    xp = np.vstack([positions, np.zeros((1, 3))])[rows]
     big = np.where(valid[:, :, None], xp, -np.inf)
     small = np.where(valid[:, :, None], xp, np.inf)
     bb_hi = big.max(axis=1)

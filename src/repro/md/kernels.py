@@ -190,7 +190,16 @@ class SegmentKernel(KernelImpl):
 
 @register_kernel("cluster")
 class ClusterKernel(KernelImpl):
-    """M×N cluster-pair search; NumPy per-step evaluation (flat chain)."""
+    """M×N cluster-pair search; NumPy per-step evaluation (flat chain).
+
+    ``build_split`` clusters the home atoms and each halo zone class
+    (the 3-bit set of dims with a nonzero zone shift) separately, then
+    searches home×home (the local list), home × every class, and class
+    *p* × class *q* only when ``p & q == 0`` — GROMACS nbnxm's i-zone /
+    j-zone pairing.  Each cluster has one zone class, so the eighth-shell
+    rule is settled per cluster pair before candidates and masks are
+    computed and no mask slot is spent on a pair another rank owns.
+    """
 
     def __init__(self, dtype: str = "float64", m: int = 4) -> None:
         super().__init__(dtype)
@@ -212,52 +221,52 @@ class ClusterKernel(KernelImpl):
         nh = ws.ns.n_home
         n = pos.shape[0]
 
-        # Home and halo atoms get separate cluster layouts over rows
-        # [0, nh) and [nh, n): home-home tiles are then exactly the local
-        # (overlap-eligible) work and the two halo-touching groups the
-        # non-local work, so the local/non-local split is a property of
-        # the layout rather than a post-hoc filter.
-        home = build_clusters(pos[:nh], lo, hi, self.m, n_total=n)
-        halo = build_clusters(
-            pos[nh:], lo, hi, self.m, index_offset=nh, n_total=n
+        # One layout for the home rows [0, nh) and one per halo zone
+        # class: bit d of a class is set iff the atom's zone shift along
+        # dim d is nonzero.  Shifts are non-negative, so the eighth-shell
+        # rule (elementwise-min shift zero) holds for a pair iff the two
+        # classes share no bit.  With every cluster in one class the rule
+        # is decided per cluster pair, as GROMACS' nbnxm pairs i-zones
+        # with the j-zones its zone table allows, so no tile is built and
+        # then masked away.  Home-home tiles are exactly the local
+        # (overlap-eligible) work and every other group the non-local.
+        zs = ws.ns.zone_shift[nh:]
+        zclass = (zs != 0).astype(np.int64) @ np.array([1, 2, 4])
+        home = build_clusters(pos, lo, hi, self.m, index=np.arange(nh))
+        halo = {
+            int(c): build_clusters(
+                pos, lo, hi, self.m, index=nh + np.flatnonzero(zclass == c)
+            )
+            for c in np.unique(zclass)
+        }
+        budget.note_cells(home.nbytes + sum(h.nbytes for h in halo.values()))
+        # A halo class only pairs with itself when it has no bits: class
+        # 0 (halo atoms with zero shift) is its own ``same`` group.
+        groups = (
+            [(home, home, True)]
+            + [(home, h, False) for h in halo.values()]
+            + [(halo[p], halo[q], p == q)
+               for p in halo for q in halo if p <= q and not p & q]
         )
-        budget.note_cells(home.nbytes + halo.nbytes)
-
-        # Eighth-shell zone rule as a bit test: bit d set = nonzero zone
-        # shift along dim d; a pair is ours iff the bit sets are disjoint.
-        # Only halo-touching tiles need it (home shifts are all zero).
-        zs = ws.ns.zone_shift
-        nzbits = (
-            ((zs != 0) * np.array([1, 2, 4], dtype=np.uint8)).sum(axis=1)
-        ).astype(np.uint8)
-        nzp = np.concatenate([nzbits, np.zeros(1, dtype=np.uint8)])
 
         mol = ws.ns.bonded["mol"] if ws.ns.bonded is not None else None
-        groups = {
-            "hh": (home, home, True),
-            "hx": (home, halo, False),
-            "xx": (halo, halo, True),
-        }
-        flat: dict[str, tuple] = {}
-        tiles: dict[str, tuple] = {}
+        n_slots = 0
+        parts: list[tuple] = []
         excl_i: list[np.ndarray] = []
         excl_j: list[np.ndarray] = []
-        for tag, (a, b, same) in groups.items():
+        for a, b, same in groups:
             ci, cj = cluster_pair_candidates(
                 a, b, r_list, box, periodic, same, budget=budget
             )
+            n_slots += int(ci.size) * a.m * b.m
             masks = cluster_tile_masks(
                 pos, a, b, ci, cj, r_list, box, periodic, same, budget=budget
             )
-            if tag != "hh" and masks.size:
-                masks &= (
-                    nzp[a.atoms][ci][:, :, None] & nzp[b.atoms][cj][:, None, :]
-                ) == 0
             if masks.size:
-                # Drop all-empty tiles (loose candidates, zone-filtered
-                # halo tiles) before extraction: they carry no pairs but
-                # would cost nonzero/gather time here and dead tile
-                # iterations in the compiled path.
+                # Drop all-empty tiles (loose candidates) before
+                # extraction: they carry no pairs but would cost
+                # nonzero/gather time here and dead tile iterations in
+                # the compiled path.
                 occupied = masks.any(axis=(1, 2))
                 if not occupied.all():
                     ci, cj, masks = ci[occupied], cj[occupied], masks[occupied]
@@ -271,36 +280,45 @@ class ClusterKernel(KernelImpl):
                     excl_j.append(pj[excl])
                     masks[ti[excl], tm[excl], tn[excl]] = False
                     pi, pj = pi[~excl], pj[~excl]
-            flat[tag] = (np.minimum(pi, pj), np.maximum(pi, pj))
-            tiles[tag] = (a.atoms[ci], b.atoms[cj], masks)
+            parts.append((
+                np.minimum(pi, pj), np.maximum(pi, pj),
+                a.atoms[ci], b.atoms[cj], masks,
+            ))
 
+        li, lj, lti, ltj, ltm = parts[0]
         kernel = cfg.kernel
-        li, lj = flat["hh"]
         # Canonical (i, j) order via one argsort of a fused key: pairs
         # are unique, so this equals the two-pass lexsort((lj, li)) and
         # costs roughly half of it on these list sizes.
-        lorder = np.argsort(li * np.int64(n + 1) + lj)
+        key = np.int64(n + 1)
+        lorder = np.argsort(li * key + lj)
         li, lj = li[lorder], lj[lorder]
-        ni = np.concatenate([flat["hx"][0], flat["xx"][0]])
-        nj = np.concatenate([flat["hx"][1], flat["xx"][1]])
+
+        # Seeding each concatenation with an empty slice of the local
+        # arrays keeps the shapes right on ranks without halo atoms.
+        ni, nj, nti, ntj, ntm = (
+            np.concatenate([empty[:0]] + [part[k] for part in parts[1:]])
+            for k, empty in enumerate(parts[0])
+        )
         req, pulse_offsets, order = _pulse_partition(ws, ni, nj)
         ni, nj, req = ni[order], nj[order], req[order]
 
         local = ClusterPairBlock(
             li, lj, ws.types, ws.charges, kernel.ff, n_atoms=n,
-            tile_atoms_i=tiles["hh"][0], tile_atoms_j=tiles["hh"][1],
-            tile_masks=tiles["hh"][2],
+            tile_atoms_i=lti, tile_atoms_j=ltj, tile_masks=ltm,
         )
         nl = ClusterPairBlock(
             ni, nj, ws.types, ws.charges, kernel.ff, n_atoms=n,
             group_key=req,
-            tile_atoms_i=np.concatenate([tiles["hx"][0], tiles["xx"][0]]),
-            tile_atoms_j=np.concatenate([tiles["hx"][1], tiles["xx"][1]]),
-            tile_masks=np.concatenate([tiles["hx"][2], tiles["xx"][2]]),
+            tile_atoms_i=nti, tile_atoms_j=ntj, tile_masks=ntm,
         )
-        ei = np.concatenate(excl_i) if excl_i else li[:0]
-        ej = np.concatenate(excl_j) if excl_j else lj[:0]
+        ei = np.concatenate([li[:0]] + excl_i)
+        ej = np.concatenate([lj[:0]] + excl_j)
         ei, ej = np.minimum(ei, ej), np.maximum(ei, ej)
+        # Canonical (i, j) exclusion order, so the exclusion-correction
+        # sums do not depend on the group and tile iteration order.
+        eorder = np.argsort(ei * key + ej)
+        ei, ej = ei[eorder], ej[eorder]
         el_mask = (ei < nh) & (ej < nh)
         return dict(
             local=local,
@@ -315,6 +333,7 @@ class ClusterKernel(KernelImpl):
                 "pulse_pairs": np.diff(pulse_offsets).tolist(),
                 "n_tiles_local": int(local.n_tiles),
                 "n_tiles_nonlocal": int(nl.n_tiles),
+                "n_slots_computed": n_slots,
                 "cluster_m": self.m,
                 **_memory_stats(ws, budget, local.nbytes + nl.nbytes),
             },
