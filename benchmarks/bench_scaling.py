@@ -58,6 +58,7 @@ import numpy as np
 
 from repro.dd import DDSimulator, resolve_backend_executor
 from repro.md import default_forcefield, make_system
+from repro.md.kernels import kernel_registry
 from repro.obs.bench import (
     DEFAULT_HISTORY,
     DEFAULT_THRESHOLD,
@@ -227,7 +228,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--backend", default="reference",
                         choices=("reference", "mpi", "threadmpi", "nvshmem"))
     parser.add_argument("--kernel", default="cluster",
-                        choices=["segment", "cluster", "cluster-numba"])
+                        choices=sorted(kernel_registry))
     parser.add_argument("--kernel-dtype", default="float64",
                         choices=["float64", "float32"])
     parser.add_argument("--max-build-bytes", type=parse_build_bytes,

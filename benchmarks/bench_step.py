@@ -51,6 +51,7 @@ import numpy as np
 from repro.dd import DDSimulator, resolve_backend_executor
 from repro.md import default_forcefield, make_system
 from repro.md.grappa import resolve_atoms as _resolve_atoms
+from repro.md.kernels import kernel_registry
 from repro.obs.bench import (
     DEFAULT_HISTORY,
     DEFAULT_THRESHOLD,
@@ -146,7 +147,7 @@ def bench_executor(
     executor: str, system_label: str, ranks: int, steps: int, *,
     backend: str, seed: int, nstlist: int,
     phase_breakdown: bool = False, overlap: bool = True,
-    kernel: str = "segment", kernel_dtype: str = "float64",
+    kernel: str = "cluster", kernel_dtype: str = "float64",
     max_build_bytes: int | None = None,
     dlb: str = "off", warmup_steps: int = 1,
 ) -> dict:
@@ -231,8 +232,8 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--steps", type=int, default=10,
                         help="timed steps per executor (after 1 warm-up step)")
     parser.add_argument("--nstlist", type=int, default=10)
-    parser.add_argument("--kernel", default="segment",
-                        choices=["segment", "cluster", "cluster-numba"],
+    parser.add_argument("--kernel", default="cluster",
+                        choices=sorted(kernel_registry),
                         help="non-bonded kernel (repro.md.kernels registry)")
     parser.add_argument("--kernel-dtype", default="float64",
                         choices=["float64", "float32"],

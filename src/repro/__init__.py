@@ -32,8 +32,8 @@ Public API
 
 Everything in ``__all__`` below is the supported surface; the documented
 way to pick a backend/executor is by registry name (``backend="nvshmem"``,
-``executor="process"``) or via :class:`SimulationSpec` — passing them as
-positional :class:`DDSimulator` arguments is deprecated.
+``executor="process"``) or via :class:`SimulationSpec`; both are
+keyword-only on :class:`DDSimulator`.
 """
 
 from repro.comm import MpiBackend, NvshmemBackend, ThreadMpiBackend, make_backend

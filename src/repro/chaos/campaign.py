@@ -58,7 +58,7 @@ class ChaosConfig:
     pes_per_node: int = 2  # nvshmem only: 1 = all-IB, n_ranks = all-NVLink
     executor: str = "serial"
     n_faults: int = 4
-    kernel: str = "segment"  # non-bonded kernel registry name
+    kernel: str = "cluster"  # non-bonded kernel registry name
     max_build_bytes: int | None = None  # pair-list build working-set cap
     #: Density scenario of the synthetic system ("uniform", "slab",
     #: "droplet", "gap") — inhomogeneous cases exercise DLB under faults.

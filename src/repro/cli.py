@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 
 from repro.md.grappa import resolve_atoms
+from repro.md.kernels import kernel_registry
 from repro.obs.log import configure, get_logger
 from repro.perf.machines import machine_by_name
 from repro.perf.model import simulate_step
@@ -65,7 +66,7 @@ def _resolve_atoms(system: str) -> int:
 
 def _functional_ms_per_step(
     system: str, ranks: int, backend: str, executor: str, steps: int,
-    seed: int = 7, server: str | None = None, kernel: str = "segment",
+    seed: int = 7, server: str | None = None, kernel: str = "cluster",
     max_build_bytes: int | None = None, dlb: str = "off",
 ) -> float:
     """Wall-clock ms/step of a real DD run with the chosen executor.
@@ -668,7 +669,7 @@ def main(argv: list[str] | None = None) -> None:
              "(e.g. http://127.0.0.1:8642) instead of running in-process",
     )
     kernel_flag = dict(
-        choices=("segment", "cluster", "cluster-numba"), default="segment",
+        choices=sorted(kernel_registry), default="cluster",
         help="non-bonded kernel for functional runs (repro.md.kernels)",
     )
     dlb_flag = dict(

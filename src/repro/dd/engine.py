@@ -19,7 +19,6 @@ parent and worker views of the cluster arrays coherent (see
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import KW_ONLY, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -123,17 +122,17 @@ class DDSimulator:
 
     ``backend`` and ``executor`` accept either instances or registry names
     (``make_backend`` / ``make_executor`` strings such as ``"nvshmem"`` and
-    ``"process"``); the tuning knobs are keyword-only so positional misuse
-    fails loudly.
+    ``"process"``); they and the tuning knobs are keyword-only, so
+    positional misuse fails loudly.
     """
 
     system: MDSystem
     ff: ForceField
     n_ranks: int = 0
     grid: DDGrid | None = None
+    _: KW_ONLY
     backend: HaloBackend | str | None = None
     executor: RankExecutor | str | None = None
-    _: KW_ONLY
     nstlist: int = 20
     buffer: float = 0.1
     dt: float = 0.002
@@ -149,9 +148,9 @@ class DDSimulator:
     #: every executor: local forces, full exchange, non-local forces.
     overlap_comm: bool = True
     #: Non-bonded kernel implementation (``repro.md.kernels`` registry
-    #: name): "segment" (default flat path), "cluster" (M×N cluster-pair
-    #: NumPy), or "cluster-numba" (compiled tiles; needs numba).
-    kernel: str = "segment"
+    #: name): "cluster" (default; M×N cluster-pair NumPy) or
+    #: "cluster-numba" (same search, compiled tiles; needs numba).
+    kernel: str = "cluster"
     #: Kernel compute precision: "float64" (default, bit-exact reference)
     #: or "float32" (the mixed-precision fast path).
     kernel_dtype: str = "float64"
@@ -314,10 +313,10 @@ class DDSimulator:
             max_pulses=spec.max_pulses,
             coulomb=spec.coulomb,
             overlap_comm=spec.overlap_comm,
-            kernel=getattr(spec, "kernel", "segment"),
-            kernel_dtype=getattr(spec, "kernel_dtype", "float64"),
-            max_build_bytes=getattr(spec, "max_build_bytes", None),
-            dlb=getattr(spec, "dlb", "off"),
+            kernel=spec.kernel,
+            kernel_dtype=spec.kernel_dtype,
+            max_build_bytes=spec.max_build_bytes,
+            dlb=spec.dlb,
             cluster_factory=cluster_factory,
         )
 
@@ -401,9 +400,9 @@ class DDSimulator:
                     n_pairs_nonlocal=stats["n_nonlocal"],
                     pulse_send_sizes=[p.send_size for p in plan.pulses],
                     pulse_pair_counts=stats["pulse_pairs"],
-                    pairlist_bytes=stats.get("pairlist_bytes", 0),
-                    cells_bytes=stats.get("cells_bytes", 0),
-                    build_peak_bytes=stats.get("build_peak_bytes", 0),
+                    pairlist_bytes=stats["pairlist_bytes"],
+                    cells_bytes=stats["cells_bytes"],
+                    build_peak_bytes=stats["build_peak_bytes"],
                 )
             )
         METRICS.counter("dd.ns_builds").inc()
@@ -434,15 +433,11 @@ class DDSimulator:
                 default=0.0,
             )
         )
-        # Cluster kernels count the mask slots their candidate tiles
-        # computed; per kept pair, this is the search work a pair costs.
-        slots = [s["n_slots_computed"] for s in self._pair_stats
-                 if "n_slots_computed" in s]
-        if slots:
-            n_pairs = sum(w.n_pairs_local + w.n_pairs_nonlocal for w in self.workloads)
-            METRICS.gauge("md.pairsearch.slots_per_pair").set(
-                sum(slots) / max(n_pairs, 1)
-            )
+        # Mask slots the candidate tiles computed, per kept pair: the
+        # search work a pair costs.
+        n_slots = sum(s["n_slots_computed"] for s in self._pair_stats)
+        n_pairs = sum(w.n_pairs_local + w.n_pairs_nonlocal for w in self.workloads)
+        METRICS.gauge("md.pairsearch.slots_per_pair").set(n_slots / max(n_pairs, 1))
         for w in self.workloads:
             for size in w.pulse_send_sizes:
                 METRICS.histogram("dd.pulse_send_atoms").observe(size)
@@ -712,37 +707,3 @@ class DDSimulator:
     def __exit__(self, *exc) -> bool:
         self.close()
         return False
-
-
-# Positional ``backend`` / ``executor`` are deprecated: the documented
-# construction forms are keyword registry names / instances
-# (``DDSimulator(system, ff, n_ranks=8, backend="nvshmem",
-# executor="process")``) or :meth:`DDSimulator.from_spec`.  The shim keeps
-# the legacy 5th/6th positional arguments working under a
-# ``DeprecationWarning`` for one release.
-_dataclass_init = DDSimulator.__init__
-
-
-def _deprecating_init(self, system, ff, n_ranks=0, grid=None, *legacy, **kwargs):
-    if legacy:
-        if len(legacy) > 2:
-            raise TypeError(
-                f"DDSimulator takes at most 6 positional arguments "
-                f"({4 + len(legacy)} given)"
-            )
-        warnings.warn(
-            "positional backend/executor arguments to DDSimulator are "
-            "deprecated; pass backend=.../executor=... registry names (or "
-            "instances), or build via DDSimulator.from_spec()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        for name, value in zip(("backend", "executor"), legacy):
-            if name in kwargs:
-                raise TypeError(f"DDSimulator got multiple values for argument '{name}'")
-            kwargs[name] = value
-    _dataclass_init(self, system, ff, n_ranks=n_ranks, grid=grid, **kwargs)
-
-
-_deprecating_init.__wrapped__ = _dataclass_init
-DDSimulator.__init__ = _deprecating_init

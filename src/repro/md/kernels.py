@@ -3,36 +3,32 @@
 Mirrors the backend/executor registry shape (see :mod:`repro.comm` and
 :mod:`repro.par`): implementations register under a short name, callers
 select one with a string, and unknown names fail with an actionable
-error listing what is available.  Three implementations ship:
+error listing what is available.  Two implementations ship, and both
+run the same pair search:
 
-* ``"segment"`` — the flat sorted-pair segment reduction (PR 3's hot
-  path, the default; behavior unchanged).  Pair search runs over the
-  cell list and the per-step kernel is :func:`~repro.md.nonbonded.block_forces`.
 * ``"cluster"`` — the GROMACS M×N cluster-pair scheme (Páll et al.
-  2020): atoms are sorted into ``m``-atom clusters along the cell-list
-  spatial ordering, the list is built over *cluster pairs* with exact
-  per-tile interaction masks, and the flat pair view is extracted once
-  at build time.  Pure NumPy, always available.  The per-step NumPy
-  evaluation runs the same segment chain as ``"segment"`` over the
-  extracted entries (dense Python-level tile math cannot beat it — the
-  per-entry ufunc cost is equal and tiles carry padded slots), so the
-  win is at *build* time: candidate search over ~N/m cluster centers
-  instead of all atoms, and per-cluster structures that cap bytes/atom.
-* ``"cluster-numba"`` — the compiled cluster path: the dense M×N tile
-  loop JIT-compiled with numba, evaluating tiles in place with no
-  per-step gather/scatter arrays at all.  Optional: numba is imported
-  lazily and a missing install raises an actionable error naming
-  ``"cluster"`` as the drop-in fallback.
+  2020), the default.  Home atoms and each halo zone class are sorted
+  into ``m``-atom clusters, the list is built over *cluster pairs* the
+  eighth-shell zone rule allows, with exact per-tile interaction masks,
+  and the flat pair view is extracted once at build time.  Pure NumPy,
+  always available.  The per-step evaluation is the flat segment
+  reduction :func:`~repro.md.nonbonded.block_forces` over the extracted
+  entries (dense Python-level tile math cannot beat it — the per-entry
+  ufunc cost is equal and tiles carry padded slots).
+* ``"cluster-numba"`` — the same search with a compiled per-step path:
+  the dense M×N tile loop JIT-compiled with numba, evaluating tiles in
+  place with no per-step gather/scatter arrays at all.  Optional: numba
+  is imported lazily and a missing install raises an actionable error
+  naming ``"cluster"`` as the drop-in fallback.
 
 Every implementation accepts ``dtype="float32"`` — the documented fast
 path: kernel-internal geometry and interaction math in float32, energy
 sums and per-atom accumulation in float64.  Tolerance gates versus the
 float64 reference live in ``tests/test_kernels.py`` and DESIGN.md.
 
-All implementations are cross-checked against each other and against
-:func:`~repro.md.nonbonded.pair_forces` in ``tests/test_kernels.py``;
-the ``"segment"``/``"cluster"`` float64 paths agree to reduction-order
-rounding and produce identical pair *sets*.
+The DD pair search is checked against a brute-force O(N^2) oracle in
+``tests/test_zone_search.py`` and every per-step path against
+:func:`~repro.md.nonbonded.pair_forces` in ``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -61,7 +57,7 @@ KERNEL_DTYPES = ("float64", "float32")
 
 
 def register_kernel(name: str):
-    """Class decorator registering a :class:`KernelImpl` under ``name``."""
+    """Class decorator registering a kernel implementation under ``name``."""
 
     def deco(cls: type) -> type:
         cls.name = name
@@ -71,7 +67,7 @@ def register_kernel(name: str):
     return deco
 
 
-def make_kernel(name: str, **options) -> "KernelImpl":
+def make_kernel(name: str, **options) -> "ClusterKernel":
     """Instantiate a registered kernel implementation by name.
 
     Raises a ``KeyError`` naming the registered kernels when ``name`` is
@@ -86,111 +82,15 @@ def make_kernel(name: str, **options) -> "KernelImpl":
     return kernel_registry[name](**options)
 
 
-class KernelImpl:
-    """One non-bonded implementation: pair search + per-block evaluation.
+@register_kernel("cluster")
+class ClusterKernel:
+    """M×N cluster-pair search; NumPy per-step evaluation (flat chain).
 
     ``build_split(ws)`` runs the rank-local pair search over a
     :class:`~repro.par.phases.RankWorkspace`-shaped object and returns
     the keyword dict for :class:`~repro.par.phases.SplitPairs` (the
-    local/non-local blocks, per-pulse offsets, exclusion lists, stats).
+    local/non-local blocks, per-pulse offsets, exclusion lists, stats);
     ``compute_block`` evaluates forces for one block per step.
-    """
-
-    name = "abstract"
-
-    def __init__(self, dtype: str = "float64") -> None:
-        if dtype not in KERNEL_DTYPES:
-            raise ValueError(
-                f"unknown kernel dtype '{dtype}'; use one of {KERNEL_DTYPES}"
-            )
-        self.dtype = dtype
-        self.np_dtype = np.dtype(dtype)
-
-    def build_split(self, ws) -> dict:
-        raise NotImplementedError
-
-    def compute_block(
-        self,
-        positions: np.ndarray,
-        block: PairBlock,
-        ff: ForceField,
-        *,
-        box: np.ndarray | None = None,
-        periodic: np.ndarray | None = None,
-        out_forces: np.ndarray | None = None,
-        coulomb: str = "rf",
-        ewald_beta: float = 0.0,
-    ) -> tuple[np.ndarray, float, float]:
-        return block_forces(
-            positions, block, ff,
-            box=box, periodic=periodic, out_forces=out_forces,
-            coulomb=coulomb, ewald_beta=ewald_beta, dtype=self.np_dtype,
-        )
-
-
-@register_kernel("segment")
-class SegmentKernel(KernelImpl):
-    """Flat cell-list search + sorted-pair segment reduction (default)."""
-
-    def build_split(self, ws) -> dict:
-        cfg = ws.cfg
-        pos = ws.pos.astype(np.float64)
-        r_list = cfg.r_comm
-        periodic = cfg.periodic
-        budget = BuildBudget(max_bytes=getattr(cfg, "max_build_bytes", None))
-        cells = CellGrid.for_rank(pos, cfg.box, periodic, r_list)
-        i, j = cells.pairs_within(pos, r_list, budget=budget)
-        zs = ws.ns.zone_shift
-        keep = np.all(np.minimum(zs[i], zs[j]) == 0, axis=1)
-        i, j = i[keep], j[keep]
-
-        # Exclusion (intramolecular) filtering is static per NS interval,
-        # so it happens here rather than per step.
-        if ws.ns.bonded is not None:
-            mol = ws.ns.bonded["mol"]
-            excl = mol[i] == mol[j]
-            ei, ej = i[excl], j[excl]
-            i, j = i[~excl], j[~excl]
-        else:
-            ei, ej = i[:0], j[:0]
-
-        nh = ws.ns.n_home
-        n_atoms = ws.pos.shape[0]
-        kernel = cfg.kernel
-
-        # Local split: pairs_within emits (i, j)-lexsorted pairs and
-        # boolean masking preserves order, so both halves stay sorted by i.
-        local_mask = (i < nh) & (j < nh)
-        li, lj = i[local_mask], j[local_mask]
-        ni, nj = i[~local_mask], j[~local_mask]
-
-        req, pulse_offsets, order = _pulse_partition(ws, ni, nj)
-        ni, nj, req = ni[order], nj[order], req[order]
-
-        el_mask = (ei < nh) & (ej < nh)
-        local = kernel.make_block(li, lj, ws.types, ws.charges, n_atoms=n_atoms)
-        nl = kernel.make_block(
-            ni, nj, ws.types, ws.charges, n_atoms=n_atoms, group_key=req
-        )
-        return dict(
-            local=local,
-            nonlocal_kernel=nl,
-            pulse_offsets=pulse_offsets,
-            excl_local=(ei[el_mask], ej[el_mask]),
-            excl_nonlocal=(ei[~el_mask], ej[~el_mask]),
-            stats={
-                "n_local": int(li.size),
-                "n_nonlocal": int(ni.size),
-                "n_excluded": int(ei.size),
-                "pulse_pairs": np.diff(pulse_offsets).tolist(),
-                **_memory_stats(ws, budget, local.nbytes + nl.nbytes),
-            },
-        )
-
-
-@register_kernel("cluster")
-class ClusterKernel(KernelImpl):
-    """M×N cluster-pair search; NumPy per-step evaluation (flat chain).
 
     ``build_split`` clusters the home atoms and each halo zone class
     (the 3-bit set of dims with a nonzero zone shift) separately, then
@@ -202,9 +102,14 @@ class ClusterKernel(KernelImpl):
     """
 
     def __init__(self, dtype: str = "float64", m: int = 4) -> None:
-        super().__init__(dtype)
+        if dtype not in KERNEL_DTYPES:
+            raise ValueError(
+                f"unknown kernel dtype '{dtype}'; use one of {KERNEL_DTYPES}"
+            )
         if m not in (4, 8):
             raise ValueError(f"cluster size m must be 4 or 8, got {m}")
+        self.dtype = dtype
+        self.np_dtype = np.dtype(dtype)
         self.m = int(m)
 
     def build_split(self, ws) -> dict:
@@ -213,7 +118,7 @@ class ClusterKernel(KernelImpl):
         r_list = cfg.r_comm
         periodic = cfg.periodic
         box = np.asarray(cfg.box, dtype=np.float64)
-        budget = BuildBudget(max_bytes=getattr(cfg, "max_build_bytes", None))
+        budget = BuildBudget(max_bytes=cfg.max_build_bytes)
         # The rank-local grid pins the home+halo extent the cluster
         # layouts cover; clusters are binned over the same bounds.
         grid = CellGrid.for_rank(pos, box, periodic, r_list)
@@ -337,6 +242,24 @@ class ClusterKernel(KernelImpl):
                 "cluster_m": self.m,
                 **_memory_stats(ws, budget, local.nbytes + nl.nbytes),
             },
+        )
+
+    def compute_block(
+        self,
+        positions: np.ndarray,
+        block: PairBlock,
+        ff: ForceField,
+        *,
+        box: np.ndarray | None = None,
+        periodic: np.ndarray | None = None,
+        out_forces: np.ndarray | None = None,
+        coulomb: str = "rf",
+        ewald_beta: float = 0.0,
+    ) -> tuple[np.ndarray, float, float]:
+        return block_forces(
+            positions, block, ff,
+            box=box, periodic=periodic, out_forces=out_forces,
+            coulomb=coulomb, ewald_beta=ewald_beta, dtype=self.np_dtype,
         )
 
 
@@ -550,7 +473,7 @@ def _memory_stats(ws, budget: BuildBudget, pairlist_bytes: int) -> dict:
 
 
 def _pulse_partition(ws, ni: np.ndarray, nj: np.ndarray):
-    """Per-pulse partition of a non-local pair list (shared by kernels).
+    """Per-pulse partition of a non-local pair list.
 
     A non-local pair is computable once the latest pulse that delivered
     either atom has arrived (``src_pulse`` is -1 for home atoms, so

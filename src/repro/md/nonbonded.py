@@ -594,7 +594,7 @@ class NonbondedKernel:
     """Force field + registry-selected non-bonded implementation.
 
     ``name`` picks the implementation from :mod:`repro.md.kernels`
-    (``"segment"``, ``"cluster"``, ``"cluster-numba"``); ``dtype`` is the
+    (``"cluster"``, ``"cluster-numba"``); ``dtype`` is the
     kernel compute precision (``"float64"`` or the documented
     ``"float32"`` fast path).  The implementation object is resolved
     lazily — and dropped on pickling — so a :class:`NonbondedKernel`
@@ -605,7 +605,7 @@ class NonbondedKernel:
     ff: ForceField
     coulomb: str = "rf"
     ewald_beta: float = 0.0
-    name: str = "segment"
+    name: str = "cluster"
     dtype: str = "float64"
 
     @property

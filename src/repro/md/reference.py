@@ -3,7 +3,10 @@
 Runs the exact same physics as the domain-decomposed engine (same force
 field, same buffered pair-list lifecycle, same integrator) on a single
 "rank", so any discrepancy isolated in tests points at the halo exchange or
-pair-assignment logic rather than the physics.
+pair-assignment logic rather than the physics.  Its pair search is the
+atom-level :class:`~repro.md.pairlist.VerletListBuilder`, independent of
+the DD engine's zone-classed cluster search, so comparing the two checks
+the search as well as the halo exchange.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 from repro.md.forcefield import ForceField
 from repro.md.integrator import LeapFrogIntegrator
 from repro.md.nonbonded import NonbondedKernel, PairBlock
-from repro.md.pairlist import ClusterListBuilder, PairList, VerletListBuilder
+from repro.md.pairlist import PairList, VerletListBuilder
 from repro.md.system import MDSystem
 from repro.obs.metrics import METRICS
 
@@ -63,26 +66,19 @@ class ReferenceSimulator:
     coulomb: str = "rf"
     pme_grid: tuple[int, int, int] | None = None
     topology: "object | None" = None
-    #: Non-bonded kernel registry name ("segment", "cluster",
-    #: "cluster-numba") and compute precision ("float64"/"float32").
-    #: Cluster kernels switch the pair-list builder to the M×N
-    #: :class:`~repro.md.pairlist.ClusterListBuilder`; the flat view of a
-    #: cluster list feeds the same per-step cache.
-    kernel: str = "segment"
+    #: Non-bonded kernel registry name ("cluster", "cluster-numba") and
+    #: compute precision ("float64"/"float32").  They select only the
+    #: per-step evaluation of the flat list: the pair search is always
+    #: the atom-level Verlet builder.
+    kernel: str = "cluster"
     kernel_dtype: str = "float64"
     step_count: int = 0
     energies: list[StepEnergies] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.kernel.startswith("cluster"):
-            self._builder = ClusterListBuilder(
-                box=self.system.box, cutoff=self.ff.cutoff,
-                buffer=self.buffer, nstlist=self.nstlist,
-            )
-        else:
-            self._builder = VerletListBuilder(
-                box=self.system.box, cutoff=self.ff.cutoff, buffer=self.buffer, nstlist=self.nstlist
-            )
+        self._builder = VerletListBuilder(
+            box=self.system.box, cutoff=self.ff.cutoff, buffer=self.buffer, nstlist=self.nstlist
+        )
         self._pme = None
         if self.coulomb == "pme":
             from repro.pme.spme import SpmeSolver, optimal_beta

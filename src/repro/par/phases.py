@@ -1,8 +1,9 @@
 """Per-rank phase kernels shared by every executor.
 
 These are the bodies of the DD engine's former ``for r in range(n_ranks)``
-loops — neighbour-pair search, non-bonded/bonded force computation, and
-leap-frog integration — factored into module-level functions so the
+loops — neighbour-pair search (the zone-classed cluster-pair search of
+:mod:`repro.md.kernels`, the engine's only one), non-bonded/bonded force
+computation, and leap-frog integration — factored into module-level functions so the
 process executor can name them across a pickle boundary.  Every executor
 (serial, thread, process) runs exactly this code on exactly the same
 per-rank arrays, which makes cross-executor bit-identity a structural
@@ -161,11 +162,10 @@ def pair_search(ws: RankWorkspace) -> dict:
     executor boundary.
 
     The search itself is delegated to the configured kernel implementation
-    (:mod:`repro.md.kernels`): ``"segment"`` searches over atoms with the
-    flat cell list, the cluster kernels over M×N cluster tiles.  Every
-    implementation returns the same :class:`SplitPairs` parts with the
-    same local/non-local/per-pulse semantics, so executors and the engine
-    never see which kernel produced the list.
+    (:mod:`repro.md.kernels`); every kernel runs the same zone-classed
+    M×N cluster-pair search and returns the same :class:`SplitPairs`
+    parts, so executors and the engine never see which kernel produced
+    the list.
     """
     ws.pairs = SplitPairs(**ws.cfg.kernel.impl.build_split(ws))
     return ws.pairs.stats

@@ -132,10 +132,11 @@ class ArtifactCache:
             # The kernel name and dtype are part of the key even though
             # today's snapshot holds only pre-pair-search state: kernels
             # are free to specialize what build_cluster materializes
-            # (layouts, array dtypes), and a "cluster" job must never
-            # replay a snapshot a "segment" job built.  A stale-keyed
-            # replay would be silent — trajectories diverge only when the
-            # snapshot shape drifts — so the key is defensive by design.
+            # (layouts, array dtypes), and a float32 or "cluster-numba"
+            # job must never replay a snapshot another kernel built.  A
+            # stale-keyed replay would be silent — trajectories diverge
+            # only when the snapshot shape drifts — so the key is
+            # defensive by design.
             key = (
                 "cluster0",
                 spec.system_key(),
@@ -143,12 +144,12 @@ class ArtifactCache:
                 round(sim.dd.r_comm, 12),
                 sim.dd.max_pulses,
                 sim.trim_corners,
-                getattr(spec, "kernel", "segment"),
-                getattr(spec, "kernel_dtype", "float64"),
+                spec.kernel,
+                spec.kernel_dtype,
                 # DLB-planned decompositions stage extra pulses from step 0
                 # (npulses rises to the max_pulses cap), so their plans are
                 # not interchangeable with uniform-grid ones.
-                getattr(spec, "dlb", "off") != "off",
+                spec.dlb != "off",
             )
             snapshot = self.get_or_build(
                 key, lambda: _snapshot_cluster(sim)

@@ -129,8 +129,7 @@ def _run_verify(spec: SimulationSpec, cache, cancel) -> dict:
     serial = sim.system.copy()
     ref = ReferenceSimulator(
         serial, sim.ff, nstlist=spec.nstlist, buffer=spec.buffer,
-        kernel=getattr(spec, "kernel", "segment"),
-        kernel_dtype=getattr(spec, "kernel_dtype", "float64"),
+        kernel=spec.kernel, kernel_dtype=spec.kernel_dtype,
     )
     _check_cancel(cancel)
     ref.run(spec.steps)

@@ -67,9 +67,9 @@ class SimulationSpec:
     coulomb: str = "rf"
     trim_corners: bool = False
     overlap_comm: bool = True
-    #: Non-bonded kernel registry name ("segment", "cluster",
-    #: "cluster-numba") and compute precision ("float64"/"float32").
-    kernel: str = "segment"
+    #: Non-bonded kernel registry name ("cluster", "cluster-numba") and
+    #: compute precision ("float64"/"float32").
+    kernel: str = "cluster"
     kernel_dtype: str = "float64"
     #: Per-rank pair-list build working-set cap in bytes (None = tuned
     #: default chunking).  Purely a memory/perf knob: capped builds are

@@ -147,7 +147,7 @@ class TestBenchStepGate:
     def fabricate(self, tmp_path, steps_per_s) -> Path:
         h = BenchHistory(tmp_path / "BENCH_step.json")
         h.append(make_record(system="600", n_atoms=600, ranks=2, steps=2,
-                             steps_per_s=steps_per_s))
+                             kernel="cluster", steps_per_s=steps_per_s))
         h.save()
         return h.path
 

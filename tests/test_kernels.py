@@ -1,8 +1,8 @@
 """Cross-parity suite for the non-bonded kernel registry.
 
-Every registered kernel ("segment", "cluster", and — when numba is
-installed — "cluster-numba") is checked against :func:`pair_forces` on
-the same pair list, under both coulomb modes, on flat and per-pulse
+Every registered kernel ("cluster" and — when numba is installed —
+"cluster-numba") is checked against :func:`pair_forces` on the same
+pair list, under both coulomb modes, on flat and per-pulse
 partitioned blocks, to the documented tolerance gates (also recorded in
 DESIGN.md):
 
@@ -44,14 +44,14 @@ from repro.md.nonbonded import (
     cluster_forces_dense,
     pair_forces,
 )
-from repro.md.pairlist import ClusterListBuilder
+from repro.md.pairlist import VerletListBuilder
 from repro.md.reference import ReferenceSimulator
 from repro.serve.spec import SimulationSpec
 
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 #: All kernels runnable in this environment.
-KERNELS = ("segment", "cluster") + (("cluster-numba",) if HAS_NUMBA else ())
+KERNELS = ("cluster",) + (("cluster-numba",) if HAS_NUMBA else ())
 
 #: Documented tolerance gates (see DESIGN.md "Kernel registry").
 F64_FORCE_RTOL = 1e-13
@@ -71,41 +71,39 @@ def _rel(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
 
 
+def _one_rank_list(sys_, ff):
+    """The home-home cluster-pair block of a 1-rank DD neighbour search.
+
+    Returns ``(positions, block)``: the rank's position array and the
+    :class:`ClusterPairBlock` the engine's search built over it.
+    """
+    with DDSimulator(sys_.copy(), ff, n_ranks=1, nstlist=10, buffer=0.12) as sim:
+        sim.neighbor_search()
+        ws = sim.executor._ws[0]
+        return ws.pos.astype(np.float64), ws.pairs.local
+
+
 @pytest.fixture(scope="module")
 def cluster_setup(ff):
-    """A wrapped grappa system with a built cluster-pair list."""
+    """A grappa system's positions, box and 1-rank cluster-pair block."""
     sys_ = make_grappa_system(1400, seed=3, ff=ff, dtype=np.float64)
-    sys_.wrap()
-    builder = ClusterListBuilder(
-        box=sys_.box, cutoff=ff.cutoff, buffer=0.12, nstlist=10
-    )
-    return sys_, builder, builder.build(sys_.positions)
-
-
-def _cluster_block(sys_, pairs, ff, group_key=None):
-    lay = pairs.layout
-    return ClusterPairBlock(
-        pairs.i, pairs.j, sys_.type_ids, sys_.charges, ff,
-        n_atoms=sys_.positions.shape[0], group_key=group_key,
-        tile_atoms_i=lay.atoms[pairs.tile_i],
-        tile_atoms_j=lay.atoms[pairs.tile_j],
-        tile_masks=pairs.tile_masks,
-    )
-
-
-def _block_for(name, sys_, pairs, ff):
-    """The block shape each kernel evaluates: flat for segment, tiles else."""
-    if name == "segment":
-        return NonbondedKernel(ff, name=name).make_block(
-            pairs.i, pairs.j, sys_.type_ids, sys_.charges,
-            n_atoms=sys_.positions.shape[0],
-        )
-    return _cluster_block(sys_, pairs, ff)
+    pos, block = _one_rank_list(sys_, ff)
+    assert isinstance(block, ClusterPairBlock) and block.n_tiles
+    return pos, sys_.box, block
 
 
 class TestRegistry:
     def test_all_kernels_registered(self):
-        assert {"segment", "cluster", "cluster-numba"} <= set(kernel_registry)
+        assert set(kernel_registry) == {"cluster", "cluster-numba"}
+
+    def test_segment_kernel_removed(self):
+        with pytest.raises(KeyError, match=r"registered kernels: \['cluster'"):
+            make_kernel("segment")
+
+    def test_cluster_is_the_default_kernel(self, tiny_system, ff):
+        assert DDSimulator(tiny_system, ff, n_ranks=2).kernel == "cluster"
+        assert SimulationSpec().kernel == "cluster"
+        assert ChaosConfig().kernel == "cluster"
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(KeyError, match="registered kernels"):
@@ -113,7 +111,7 @@ class TestRegistry:
 
     def test_unknown_dtype_rejected(self):
         with pytest.raises(ValueError, match="dtype"):
-            make_kernel("segment", dtype="float16")
+            make_kernel("cluster", dtype="float16")
         assert KERNEL_DTYPES == ("float64", "float32")
 
     def test_bad_cluster_size_rejected(self):
@@ -203,13 +201,12 @@ class TestFlatParity:
     @pytest.mark.parametrize("name", KERNELS)
     @pytest.mark.parametrize("coulomb,beta", COULOMB_MODES)
     def test_float64(self, cluster_setup, ff, name, coulomb, beta):
-        sys_, _, pairs = cluster_setup
+        pos, box, block = cluster_setup
         kern = NonbondedKernel(ff, coulomb=coulomb, ewald_beta=beta, name=name)
-        block = _block_for(name, sys_, pairs, ff)
-        f, e_lj, e_c = kern.compute_block(sys_.positions, block, box=sys_.box)
+        f, e_lj, e_c = kern.compute_block(pos, block, box=box)
         rf, r_lj, r_c = pair_forces(
-            sys_.positions, pairs.i, pairs.j, sys_.type_ids, sys_.charges,
-            ff, box=sys_.box, coulomb=coulomb, ewald_beta=beta,
+            pos, block.i, block.j, block.type_ids, block.charges,
+            ff, box=box, coulomb=coulomb, ewald_beta=beta,
         )
         assert _force_err(f, rf) < F64_FORCE_RTOL
         assert _rel(e_lj, r_lj) < F64_ENERGY_RTOL
@@ -218,32 +215,30 @@ class TestFlatParity:
     @pytest.mark.parametrize("name", KERNELS)
     @pytest.mark.parametrize("coulomb,beta", COULOMB_MODES)
     def test_float32_gates(self, cluster_setup, ff, name, coulomb, beta):
-        sys_, _, pairs = cluster_setup
+        pos, box, block = cluster_setup
         kern = NonbondedKernel(
             ff, coulomb=coulomb, ewald_beta=beta, name=name, dtype="float32"
         )
-        block = _block_for(name, sys_, pairs, ff)
-        f, e_lj, e_c = kern.compute_block(sys_.positions, block, box=sys_.box)
+        f, e_lj, e_c = kern.compute_block(pos, block, box=box)
         rf, r_lj, r_c = pair_forces(
-            sys_.positions, pairs.i, pairs.j, sys_.type_ids, sys_.charges,
-            ff, box=sys_.box, coulomb=coulomb, ewald_beta=beta,
+            pos, block.i, block.j, block.type_ids, block.charges,
+            ff, box=box, coulomb=coulomb, ewald_beta=beta,
         )
         assert _force_err(f, rf) < F32_FORCE_RTOL
         assert _rel(e_lj, r_lj) < F32_ENERGY_RTOL
         assert _rel(e_c, r_c) < F32_ENERGY_RTOL
 
-    def test_segment_and_cluster_f64_bit_identical(self, cluster_setup, ff):
-        # Same canonical (i, j)-lexsorted entries through the same segment
-        # chain: not just close — equal.
-        sys_, _, pairs = cluster_setup
-        seg = NonbondedKernel(ff, name="segment")
-        clu = NonbondedKernel(ff, name="cluster")
-        f1, a1, b1 = seg.compute_block(
-            sys_.positions, _block_for("segment", sys_, pairs, ff), box=sys_.box
+    def test_flat_and_tile_blocks_f64_bit_identical(self, cluster_setup, ff):
+        # The reference evaluates a flat PairBlock, the engine a
+        # ClusterPairBlock: the same canonical (i, j)-lexsorted entries
+        # through the same segment chain are not just close — equal.
+        pos, box, block = cluster_setup
+        kern = NonbondedKernel(ff, name="cluster")
+        flat = kern.make_block(
+            block.i, block.j, block.type_ids, block.charges, n_atoms=pos.shape[0]
         )
-        f2, a2, b2 = clu.compute_block(
-            sys_.positions, _block_for("cluster", sys_, pairs, ff), box=sys_.box
-        )
+        f1, a1, b1 = kern.compute_block(pos, flat, box=box)
+        f2, a2, b2 = kern.compute_block(pos, block, box=box)
         assert np.array_equal(f1, f2)
         assert (a1, b1) == (a2, b2)
 
@@ -253,21 +248,19 @@ class TestDenseTwin:
 
     @pytest.mark.parametrize("coulomb,beta", COULOMB_MODES)
     def test_float64(self, cluster_setup, ff, coulomb, beta):
-        sys_, _, pairs = cluster_setup
-        block = _cluster_block(sys_, pairs, ff)
-        ff_kw = dict(box=sys_.box, coulomb=coulomb, ewald_beta=beta)
-        f1, a1, b1 = block_forces(sys_.positions, block, ff, **ff_kw)
-        f2, a2, b2 = cluster_forces_dense(sys_.positions, block, ff, **ff_kw)
+        pos, box, block = cluster_setup
+        ff_kw = dict(box=box, coulomb=coulomb, ewald_beta=beta)
+        f1, a1, b1 = block_forces(pos, block, ff, **ff_kw)
+        f2, a2, b2 = cluster_forces_dense(pos, block, ff, **ff_kw)
         assert _force_err(f2, f1) < F64_FORCE_RTOL
         assert _rel(a2, a1) < F64_ENERGY_RTOL
         assert _rel(b2, b1) < F64_ENERGY_RTOL
 
     def test_float32(self, cluster_setup, ff):
-        sys_, _, pairs = cluster_setup
-        block = _cluster_block(sys_, pairs, ff)
-        f1, a1, b1 = block_forces(sys_.positions, block, ff, box=sys_.box)
+        pos, box, block = cluster_setup
+        f1, a1, b1 = block_forces(pos, block, ff, box=box)
         f2, a2, b2 = cluster_forces_dense(
-            sys_.positions, block, ff, box=sys_.box, dtype=np.float32
+            pos, block, ff, box=box, dtype=np.float32
         )
         assert _force_err(f2, f1) < F32_FORCE_RTOL
         assert _rel(a2, a1) < F32_ENERGY_RTOL
@@ -285,13 +278,6 @@ def _run_dd(system, ff, *, steps=6, nstlist=3, **kwargs):
 class TestEngineParity:
     """Kernel choice threads through the DD engine without changing physics."""
 
-    @pytest.mark.parametrize("coulomb", ("rf", "pme"))
-    def test_segment_vs_cluster_bit_identical(self, tiny_system, ff, coulomb):
-        ref = _run_dd(tiny_system, ff, n_ranks=4, kernel="segment", coulomb=coulomb)
-        out = _run_dd(tiny_system, ff, n_ranks=4, kernel="cluster", coulomb=coulomb)
-        assert np.array_equal(ref[0], out[0])
-        assert ref[1] == out[1]
-
     @pytest.mark.parametrize("executor", ("thread", "process"))
     def test_cluster_cross_executor_bit_identical(self, tiny_system, ff, executor):
         ref = _run_dd(tiny_system, ff, n_ranks=4, kernel="cluster", executor="serial")
@@ -300,11 +286,25 @@ class TestEngineParity:
         assert ref[1] == out[1]
 
     def test_reference_simulator_parity(self, tiny_system, ff):
-        a = tiny_system.copy()
-        b = tiny_system.copy()
-        ReferenceSimulator(a, ff, nstlist=3, buffer=0.12, kernel="segment").run(5)
-        ReferenceSimulator(b, ff, nstlist=3, buffer=0.12, kernel="cluster").run(5)
-        assert np.array_equal(a.positions, b.positions)
+        # The reference's atom-level Verlet search is independent of the
+        # engine's cluster search: agreement checks both the pair sets
+        # and the halo exchange, to reduction-order rounding.
+        for coulomb in ("rf", "pme"):
+            dd_pos, dd_en = _run_dd(tiny_system, ff, n_ranks=4, coulomb=coulomb)
+            serial = tiny_system.copy()
+            ref_en = ReferenceSimulator(
+                serial, ff, nstlist=3, buffer=0.12, coulomb=coulomb
+            ).run(6)
+            dx = dd_pos - serial.positions
+            dx -= np.rint(dx / serial.box) * serial.box
+            assert np.abs(dx).max() <= 1e-10, coulomb
+            for a, b in zip(dd_en, ref_en):
+                assert _rel(a.lj, b.lj) < 1e-10
+                assert _rel(a.coulomb, b.coulomb) < 1e-10
+
+    def test_reference_searches_with_verlet_builder(self, tiny_system, ff):
+        ref = ReferenceSimulator(tiny_system.copy(), ff, kernel="cluster")
+        assert isinstance(ref._builder, VerletListBuilder)
 
     def test_float32_stays_close_to_float64(self, tiny_system, ff):
         ref = _run_dd(tiny_system, ff, n_ranks=2, kernel="cluster")
@@ -330,17 +330,21 @@ class TestPulsePartition:
             sim.step()
             return sim, sim.executor._ws
 
-    def test_partition_identical_to_segment(self, tiny_system, ff):
-        _, seg_ws = self._workspaces(tiny_system, ff, "segment")
-        _, clu_ws = self._workspaces(tiny_system, ff, "cluster")
-        for sw, cw in zip(seg_ws, clu_ws):
-            assert np.array_equal(sw.pairs.pulse_offsets, cw.pairs.pulse_offsets)
-            assert np.array_equal(sw.pairs.nonlocal_kernel.i, cw.pairs.nonlocal_kernel.i)
-            assert np.array_equal(sw.pairs.nonlocal_kernel.j, cw.pairs.nonlocal_kernel.j)
-            assert sw.pairs.stats["pulse_pairs"] == cw.pairs.stats["pulse_pairs"]
+    def test_partition_matches_src_pulse(self, tiny_system, ff):
+        # Pulse group p holds exactly the non-local pairs whose latest
+        # delivering pulse is p (home atoms have src_pulse -1).
+        _, wss = self._workspaces(tiny_system, ff, "cluster")
+        for ws in wss:
+            nl = ws.pairs.nonlocal_kernel
+            offsets = ws.pairs.pulse_offsets
+            req = np.maximum(ws.ns.src_pulse[nl.i], ws.ns.src_pulse[nl.j])
+            assert offsets[0] == 0 and offsets[-1] == nl.n_pairs
+            for p in range(len(offsets) - 1):
+                assert np.all(req[offsets[p]:offsets[p + 1]] == p)
+            assert ws.pairs.stats["pulse_pairs"] == np.diff(offsets).tolist()
         assert any(
             len([p for p in w.pairs.stats["pulse_pairs"] if p]) > 1
-            for w in clu_ws
+            for w in wss
         ), "grid must actually produce multi-pulse work"
 
     @pytest.mark.parametrize("name", KERNELS)
@@ -402,19 +406,14 @@ class TestNumba:
         import time
 
         sys_ = make_grappa_system(6000, seed=5, ff=ff, dtype=np.float64)
-        sys_.wrap()
-        builder = ClusterListBuilder(
-            box=sys_.box, cutoff=ff.cutoff, buffer=0.12, nstlist=10
-        )
-        pairs = builder.build(sys_.positions)
-        block = _cluster_block(sys_, pairs, ff)
+        pos, block = _one_rank_list(sys_, ff)
 
         def best_of(kern, reps=7):
-            kern.compute_block(sys_.positions, block, box=sys_.box)  # warm up
+            kern.compute_block(pos, block, box=sys_.box)  # warm up
             times = []
             for _ in range(reps):
                 t0 = time.perf_counter()
-                kern.compute_block(sys_.positions, block, box=sys_.box)
+                kern.compute_block(pos, block, box=sys_.box)
                 times.append(time.perf_counter() - t0)
             return min(times)
 

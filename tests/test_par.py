@@ -161,7 +161,7 @@ class TestRegistry:
 class TestKeywordOnlyKnobs:
     def test_tuning_knobs_are_keyword_only(self, tiny_system, ff):
         with pytest.raises(TypeError):
-            # Positional nstlist after executor must be rejected.
+            # Positional arguments past grid must be rejected.
             DDSimulator(tiny_system, ff, 2, None, None, None, 10)
 
     def test_keyword_knobs_accepted(self, tiny_system, ff):

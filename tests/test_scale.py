@@ -3,7 +3,7 @@ the lazy per-rank arena, and the strong-scaling bench plumbing.
 
 The contract under test is the one the chunked-build refactor promises:
 ``max_build_bytes`` is *purely* a memory knob — capped builds produce
-bit-identical trajectories (both kernels, across home/halo boundaries,
+bit-identical trajectories (across home/halo boundaries,
 through drift-triggered rebuilds) while bounding the per-rank build
 working set; the accounting gauges and BenchRecord keys make that bound
 auditable and separately regression-gated.
@@ -16,9 +16,15 @@ import pytest
 
 from repro.dd.engine import DDSimulator
 from repro.md import make_grappa_system
-from repro.md.cells import BuildBudget, CellGrid
+from repro.md.cells import (
+    BuildBudget,
+    CellGrid,
+    build_clusters,
+    cluster_pair_candidates,
+    cluster_tile_masks,
+)
 from repro.md.grappa import resolve_atoms
-from repro.md.pairlist import ClusterListBuilder, VerletListBuilder
+from repro.md.pairlist import VerletListBuilder
 from repro.obs.bench import BenchHistory, BenchRecord
 from repro.obs.metrics import METRICS
 from repro.serve import SimulationSpec
@@ -44,11 +50,25 @@ def _run(ff, *, kernel: str, max_build_bytes: int | None,
         return _digest(sim.system.positions)
 
 
+def _cluster_search(pos, box, r_list, max_bytes):
+    """Periodic cluster-pair search: ``(ci, cj, masks, budget)``."""
+    periodic = np.ones(3, dtype=bool)
+    budget = BuildBudget(max_bytes=max_bytes)
+    lay = build_clusters(pos, np.zeros(3), box, 4)
+    ci, cj = cluster_pair_candidates(
+        lay, lay, r_list, box, periodic, True, budget=budget
+    )
+    masks = cluster_tile_masks(
+        pos, lay, lay, ci, cj, r_list, box, periodic, True, budget=budget
+    )
+    return ci, cj, masks, budget
+
+
 # -- chunked-build bit-identity ------------------------------------------------
 
 
 class TestChunkedBuildParity:
-    @pytest.mark.parametrize("kernel", ["segment", "cluster"])
+    @pytest.mark.parametrize("kernel", ["cluster"])
     def test_capped_builds_bit_identical_across_caps(self, ff, kernel):
         """Several caps, DD ranks (home/halo boundaries), periodic rebuilds."""
         ref = _run(ff, kernel=kernel, max_build_bytes=None)
@@ -57,7 +77,7 @@ class TestChunkedBuildParity:
                 f"max_build_bytes={cap} changed the {kernel} trajectory"
             )
 
-    @pytest.mark.parametrize("kernel", ["segment", "cluster"])
+    @pytest.mark.parametrize("kernel", ["cluster"])
     def test_capped_builds_survive_drift_rebuilds(self, ff, kernel):
         """nstlist >> steps with a thin buffer: rebuilds come from drift."""
         kw = dict(kernel=kernel, ranks=2, steps=12, nstlist=50, buffer=0.03,
@@ -78,17 +98,10 @@ class TestChunkedBuildParity:
 
     def test_builder_level_parity_cluster(self, small_system, ff):
         pos = small_system.positions
-        box = small_system.box
-        uncapped = ClusterListBuilder(box=box, cutoff=ff.cutoff, buffer=0.12)
-        capped = ClusterListBuilder(box=box, cutoff=ff.cutoff, buffer=0.12,
-                                    max_build_bytes=8192)
-        a = uncapped.build(pos)
-        b = capped.build(pos)
-        assert np.array_equal(a.tile_i, b.tile_i)
-        assert np.array_equal(a.tile_j, b.tile_j)
-        assert np.array_equal(a.tile_masks, b.tile_masks)
-        assert np.array_equal(a.i, b.i)
-        assert np.array_equal(a.j, b.j)
+        a = _cluster_search(pos, small_system.box, ff.cutoff + 0.12, None)
+        b = _cluster_search(pos, small_system.box, ff.cutoff + 0.12, 8192)
+        for x, y in zip(a[:3], b[:3]):
+            assert np.array_equal(x, y)
 
 
 # -- BuildBudget + memory accounting -------------------------------------------
@@ -125,7 +138,7 @@ class TestBuildBudget:
         i, j = grid.pairs_within(pos, ff.cutoff)
         assert i.size > 0  # non-periodic rank-local grid still finds pairs
 
-    @pytest.mark.parametrize("kernel", ["segment", "cluster"])
+    @pytest.mark.parametrize("kernel", ["cluster"])
     def test_memory_gauges_published_per_build(self, ff, kernel):
         system = make_grappa_system(1400, seed=11, ff=ff, dtype=np.float64)
         with DDSimulator(
@@ -152,14 +165,10 @@ class TestBuildBudget:
         uncapped build on the same rank.
         """
         system = make_grappa_system(3000, seed=7, ff=ff, dtype=np.float64)
-        pos = system.positions
-        box = system.box
-        tight = ClusterListBuilder(box=box, cutoff=ff.cutoff, buffer=0.12,
-                                   max_build_bytes=65536)
-        loose = ClusterListBuilder(box=box, cutoff=ff.cutoff, buffer=0.12)
-        tight.build(pos)
-        loose.build(pos)
-        assert tight.last_budget.peak_bytes < loose.last_budget.peak_bytes
+        r_list = ff.cutoff + 0.12
+        tight = _cluster_search(system.positions, system.box, r_list, 65536)[3]
+        loose = _cluster_search(system.positions, system.box, r_list, None)[3]
+        assert tight.peak_bytes < loose.peak_bytes
 
 
 # -- lazy per-rank arena -------------------------------------------------------

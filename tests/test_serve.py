@@ -78,7 +78,7 @@ class TestSpec:
         assert SPEC.n_ranks == 4
 
 
-# -- DDSimulator.from_spec and the deprecation shim ---------------------------
+# -- DDSimulator.from_spec and keyword construction -------------------------
 
 
 class TestFromSpec:
@@ -112,31 +112,15 @@ class TestFromSpec:
             sim2.run(3)
         assert np.array_equal(sim2.system.positions, legacy_system.positions)
 
-    def test_positional_backend_executor_deprecated(self, tiny_system, ff):
-        with pytest.warns(DeprecationWarning, match="positional backend/executor"):
-            sim = DDSimulator(tiny_system, ff, 2, None, "reference", "serial")
-        assert sim.n_ranks == 2
+    def test_positional_backend_rejected(self, tiny_system, ff):
+        with pytest.raises(TypeError):
+            DDSimulator(tiny_system, ff, 2, None, "reference")
 
     def test_keyword_construction_warns_nothing(self, tiny_system, ff):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             DDSimulator(tiny_system, ff, n_ranks=2, backend="reference",
                         executor="serial")
-
-    def test_legacy_positional_still_runs_correctly(self, ff):
-        """The deprecated form must keep passing parity, not just construct."""
-        sys_a = make_grappa_system(1400, seed=11, ff=ff, dtype=np.float64)
-        sys_b = sys_a.copy()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sim = DDSimulator(sys_a, ff, 4, None, "reference", "serial",
-                              nstlist=2, buffer=0.12)
-        with sim:
-            sim.run(2)
-        with DDSimulator(sys_b, ff, n_ranks=4, backend="reference",
-                         executor="serial", nstlist=2, buffer=0.12) as sim2:
-            sim2.run(2)
-        assert np.array_equal(sys_a.positions, sys_b.positions)
 
 
 class TestResolveBackendExecutor:
@@ -171,28 +155,23 @@ class TestExecuteSpec:
         assert stats["hits"] > 0
 
     def test_cluster0_snapshot_keyed_by_kernel(self):
-        """A cluster-kernel job must never replay a segment-built snapshot.
+        """A job must never replay a snapshot another kernel config built.
 
         Regression test for the cluster0 cache key: it has to include the
-        spec's kernel and kernel_dtype, so the second job below records a
-        cluster0 *miss* (its own build), not a hit on the first job's
-        snapshot.
+        spec's kernel and kernel_dtype, so a float32 job records a
+        cluster0 *miss* (its own build), not a hit on the float64 job's
+        snapshot, while restating the default kernel hits.
         """
         miss_counter = METRICS.counter("serve.cache.misses", kind="cluster0")
         cache = ArtifactCache()
         before = miss_counter.value
-        seg = execute_spec(SPEC, cache=cache)
-        after_segment = miss_counter.value
-        clu = execute_spec(SPEC.with_(kernel="cluster"), cache=cache)
-        after_cluster = miss_counter.value
-        assert after_segment == before + 1
-        assert after_cluster == after_segment + 1  # distinct key -> new build
-        # Same physics regardless of which kernel built the snapshot.
-        assert seg["digest"] == clu["digest"]
-        # And the dtype is part of the key too.
-        execute_spec(SPEC.with_(kernel="cluster", kernel_dtype="float32"),
-                     cache=cache)
-        assert miss_counter.value == after_cluster + 1
+        default = execute_spec(SPEC, cache=cache)
+        assert miss_counter.value == before + 1
+        explicit = execute_spec(SPEC.with_(kernel="cluster"), cache=cache)
+        assert miss_counter.value == before + 1  # same key -> snapshot hit
+        assert default["digest"] == explicit["digest"]
+        execute_spec(SPEC.with_(kernel_dtype="float32"), cache=cache)
+        assert miss_counter.value == before + 2  # distinct key -> new build
 
     def test_verify_kind(self):
         spec = SPEC.with_(kind="verify", backend="nvshmem", pes_per_node=2,
