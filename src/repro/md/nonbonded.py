@@ -13,6 +13,19 @@ Two reduction strategies over a flat pair list (arrays ``i``/``j``):
   component for the ``j`` side — the NumPy analogue of GROMACS' sorted
   cluster-pair reduction, several times faster than the scatter.
 
+The hot path works on a structure-of-arrays layout, the NumPy analogue of
+the per-dimension SIMD layouts GROMACS' CPU kernels keep cluster
+coordinates in: positions are copied once per call into ``(3, n)``
+coordinate columns, and every gather, min-image wrap, product and force
+component is a contiguous 1-D ufunc over one dimension.  Both paths sum
+r² in one fixed order, ``(dx_x² + dx_z²) + dx_y²``, so per-pair results
+agree bit for bit without depending on a library's reduction order.  (It
+is the order NumPy's float64 ``einsum("ij,ij->i")`` used on 3-vectors, so
+float64 trajectories did not move when the explicit sum replaced it;
+float32 ``einsum`` summed ``(x² + y²) + z²``, so float32 results moved at
+rounding level: 2e-8 relative in energies and 3e-7 of the largest force
+component on a 3000-atom box, against 1e-5 between float32 and float64.)
+
 Pairs beyond the interaction cutoff (present in a buffered Verlet list)
 contribute zero, matching GROMACS' buffered-list semantics; the block path
 masks them instead of compacting, so the cached parameters stay aligned
@@ -87,7 +100,11 @@ def pair_forces(
         if periodic is not None:
             shift *= np.asarray(periodic, dtype=bool)
         dx -= shift
-    r2 = np.einsum("ij,ij->i", dx, dx)
+    # Fixed summation order (x² + z²) + y², shared with block_forces, so
+    # neither path depends on einsum's internal reduction order.
+    r2 = dx[:, 0] * dx[:, 0]
+    r2 += dx[:, 2] * dx[:, 2]
+    r2 += dx[:, 1] * dx[:, 1]
 
     rc2 = ff.cutoff * ff.cutoff
     inside = r2 <= rc2
@@ -157,7 +174,11 @@ class PairBlock:
     potential shift, and the segment boundaries for ``np.add.reduceat``.
     Scratch buffers for the per-step displacement/force pipeline are
     allocated lazily and reused, so steady-state steps allocate nothing
-    of pair-list size.
+    of pair-list size.  In float64 the scratch is 24 B per atom for the
+    ``(3, n)`` coordinate columns plus 106 B per list entry for rf: the
+    ``(3, m)`` displacement columns, which are overwritten in place by
+    the force components, and twelve 1-D buffers, two of them boolean
+    masks (ewald adds one more).
 
     Correctness does not require sortedness — boundaries are wherever
     ``i`` (or ``group_key``) changes between consecutive entries — but an
@@ -281,11 +302,19 @@ def block_forces(
     """Segment-reduced twin of :func:`pair_forces` over a :class:`PairBlock`.
 
     Per-pair force vectors are bit-identical to :func:`pair_forces` on the
-    same list ordering (the arithmetic keeps the same evaluation order);
-    only the accumulation into per-atom forces differs — ``reduceat`` over
-    ``i``-segments and ``bincount`` over ``j`` instead of two ``add.at``
-    scatters — so per-atom results agree to accumulation-order rounding.
-    Out-of-cutoff pairs are masked (zeroed) rather than compacted.
+    same list ordering (the arithmetic keeps the same evaluation order,
+    r² included: ``(dx_x² + dx_z²) + dx_y²``); only the accumulation into
+    per-atom forces differs — ``reduceat`` over ``i``-segments and
+    ``bincount`` over ``j`` instead of two ``add.at`` scatters — so
+    per-atom results agree to accumulation-order rounding.  Out-of-cutoff
+    pairs are masked (zeroed) rather than compacted.
+
+    Layout: positions are copied into cached ``(3, n)`` columns, and each
+    dimension's displacement is gathered with a bounds-checked 1-D
+    ``np.take`` into a row of a cached ``(3, m)`` buffer, wrapped to the
+    minimum image along periodic dims only.  Each force component is then
+    built in place over its displacement row (``fscal * dx_c``) right
+    before its ``reduceat``/``bincount``, so no ``(m, 3)`` array exists.
 
     ``dtype=np.float32`` selects the fast path: geometry, parameters, and
     the interaction chain run in float32 while energy sums and per-atom
@@ -308,33 +337,31 @@ def block_forces(
     if m == 0:
         return out_forces, 0.0, 0.0
     dt = np.dtype(dtype)
-    if dt == np.float64:
-        pos = positions if positions.dtype == np.float64 else positions.astype(np.float64)
-    else:
-        pos = block.buf("pos_dt", (n, 3), dt)
-        np.copyto(pos, positions)
     sc = dt.type  # scalar-constant cast; a no-op for float64
 
-    xi = block.buf("xi", (m, 3), dt)
-    xj = block.buf("xj", (m, 3), dt)
-    np.take(pos, block.i, axis=0, out=xi)
-    np.take(pos, block.j, axis=0, out=xj)
-    dx = np.subtract(xi, xj, out=xi)
-    if box is not None:
+    # Structure of arrays: one contiguous coordinate column per dimension,
+    # so every gather, min-image wrap and product below is a 1-D ufunc.
+    cols = block.buf("cols", (3, n), dt)
+    np.copyto(cols, positions.T)
+    dx = block.buf("dx", (3, m), dt)
+    tmp = block.buf("tmp", (m,), dt)
+    box_dt = None if box is None else np.asarray(box, dtype=dt)
+    for d in range(3):
+        dx_d = np.take(cols[d], block.i, out=dx[d])
+        dx_d -= np.take(cols[d], block.j, out=tmp)
         # Minimum image per periodic dim only: DD rank domains are
         # mostly (often fully) non-periodic, and skipping the wrapped
         # divide/rint there is a real per-step saving.  Bit-compatible
         # with the all-dims form — the shift was exactly zero anyway.
-        box_dt = np.asarray(box, dtype=dt)
-        for d in range(3):
-            if periodic is not None and not periodic[d]:
-                continue
-            col = dx[:, d]
-            shift = np.divide(col, box_dt[d], out=xj[:, d])
+        if box_dt is not None and (periodic is None or periodic[d]):
+            shift = np.divide(dx_d, box_dt[d], out=tmp)
             np.rint(shift, out=shift)
             shift *= box_dt[d]
-            col -= shift
-    r2 = np.einsum("ij,ij->i", dx, dx, out=block.buf("r2", (m,), dt))
+            dx_d -= shift
+    # r² in the fixed order (x² + z²) + y², the same as pair_forces.
+    r2 = np.multiply(dx[0], dx[0], out=block.buf("r2", (m,), dt))
+    r2 += np.multiply(dx[2], dx[2], out=tmp)
+    r2 += np.multiply(dx[1], dx[1], out=tmp)
 
     rc2 = ff.cutoff * ff.cutoff
     inside = np.less_equal(r2, rc2, out=block.buf("inside", (m,), dtype=bool))
@@ -365,8 +392,7 @@ def block_forces(
     # fscal and per-pair energies, in the exact evaluation order of
     # pair_forces so per-pair results match it bit for bit (in float64).
     f_lj = np.multiply(c12_12, inv_r12, out=block.buf("f_lj", (m,), dt))
-    t = np.multiply(c6_6, inv_r6, out=block.buf("t", (m,), dt))
-    f_lj -= t
+    f_lj -= np.multiply(c6_6, inv_r6, out=tmp)
     f_lj *= inv_r2
     if coulomb == "rf":
         f_coul = np.multiply(inv_r, inv_r2, out=block.buf("f_coul", (m,), dt))
@@ -397,11 +423,9 @@ def block_forces(
     fscal = f_lj
     fscal += f_coul
     fscal *= inside
-    fvec = np.multiply(fscal[:, None], dx, out=block.buf("fvec", (m, 3), dt))
 
     e_l = np.multiply(c12, inv_r12, out=block.buf("e_l", (m,), dt))
-    t = np.multiply(c6, inv_r6, out=t)
-    e_l -= t
+    e_l -= np.multiply(c6, inv_r6, out=tmp)
     e_l -= e_shift
     e_l *= inside
     e_lj = float(np.sum(e_l, dtype=np.float64))
@@ -411,9 +435,10 @@ def block_forces(
     # Segment reduction: i-side via reduceat over the sorted segments
     # (seg_i may repeat across group-key boundaries, hence add.at on the
     # small per-segment sums), j-side via one bincount per component.
+    # Each force component is built in place over its dx column.
     odt = out_forces.dtype
     for c in range(3):
-        col = fvec[:, c]
+        col = np.multiply(fscal, dx[c], out=dx[c])
         seg = np.add.reduceat(col, block.seg_starts)
         np.add.at(out_forces[:, c], block.seg_i, seg.astype(odt, copy=False))
         jsum = np.bincount(block.j, weights=col, minlength=n)

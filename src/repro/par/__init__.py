@@ -38,7 +38,7 @@ from repro.par.phases import (
     RankWorkspace,
     SplitPairs,
 )
-from repro.par.process import ProcessExecutor
+from repro.par.process import ProcessExecutor, WorkerTaskError
 from repro.par.serial import SerialExecutor
 from repro.par.thread import ThreadExecutor
 
@@ -54,6 +54,7 @@ __all__ = [
     "SerialExecutor",
     "SplitPairs",
     "ThreadExecutor",
+    "WorkerTaskError",
     "executor_registry",
     "imbalance_pct",
     "make_executor",

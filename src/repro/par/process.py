@@ -52,6 +52,16 @@ from repro.par.phases import FIELDS, PHASES, RankNsData, RankWorkspace
 _ALIGN = 64
 
 
+class WorkerTaskError(RuntimeError):
+    """An exception raised by the task a live worker ran.
+
+    The worker caught it and replied, so the pool is healthy and the
+    failure is deterministic: re-running the same task fails the same way.
+    A worker that dies surfaces instead as the connection error its pipe
+    raises (``EOFError``, ``BrokenPipeError``, ``ConnectionResetError``).
+    """
+
+
 def _slot_layout(
     per_rank: dict[str, np.ndarray]
 ) -> tuple[dict[str, tuple[int, tuple, str]], int]:
@@ -267,7 +277,7 @@ class ProcessExecutor(RankExecutor):
     def _reply(self, worker: int) -> Any:
         status, payload = self._conns[worker].recv()
         if status != "ok":
-            raise RuntimeError(
+            raise WorkerTaskError(
                 f"process-executor worker {worker} failed: {payload}"
             )
         return payload

@@ -15,11 +15,13 @@ The public facade (``submit`` / ``status`` / ``result`` / ``cancel`` /
 handler threads and the CLI both use it directly.
 
 **Retry on worker death.**  If a job's process-executor worker dies
-underneath it (``BrokenPipeError``/``EOFError``/``ConnectionResetError``,
-or the pool's own ``RuntimeError: process-executor worker N failed``),
-the spec is deterministic, so the engine requeues the job — up to
-``Job.max_attempts`` — rather than failing it.  Every other exception is
-an answer and the job fails with it.
+underneath it, the parent's pipe raises ``EOFError``, ``BrokenPipeError``
+or ``ConnectionResetError``; the spec is deterministic, so the engine
+requeues the job — up to ``Job.max_attempts`` — rather than failing it.
+Every other exception is an answer and the job fails with it, including
+:class:`~repro.par.process.WorkerTaskError`: a live worker reporting that
+its task raised (an overlap, a phase run out of order) fails the same
+way on every attempt.
 
 Queue depth, running count, and completion counters publish as
 ``serve.*`` gauges/counters for the ``repro report`` dashboard.
@@ -45,9 +47,7 @@ log = get_logger("serve")
 
 def is_worker_death(err: BaseException) -> bool:
     """Did this exception come from a pool worker dying, not the physics?"""
-    if isinstance(err, (BrokenPipeError, EOFError, ConnectionResetError)):
-        return True
-    return isinstance(err, RuntimeError) and "worker" in str(err)
+    return isinstance(err, (BrokenPipeError, EOFError, ConnectionResetError))
 
 
 class JobEngine:

@@ -282,6 +282,19 @@ class TestSegmentReduction:
         np.testing.assert_array_equal(f1, f2)
         assert (e1, c1) == (e2, c2)
 
+    def test_scratch_footprint_per_entry(self, ff):
+        """Column layout: no (m, 3) coordinate or force-vector scratch.
+
+        The per-dimension ``dx`` columns double as the force components,
+        so a float64 rf call holds at most 120 B per list entry plus the
+        (3, n) coordinate columns, 24 B per atom.
+        """
+        pos, i, j, tid, q, box = self._sorted_bulk(ff, seed=4)
+        block = PairBlock(i, j, tid, q, ff, n_atoms=pos.shape[0])
+        block_forces(pos, block, ff, box=box)
+        scratch = sum(b.nbytes for b in block._scratch.values())
+        assert scratch <= 120 * block.n_pairs + 24 * pos.shape[0]
+
     def test_kernel_compute_block_equivalent(self, ff):
         pos, i, j, tid, q, box = self._sorted_bulk(ff, seed=9, n=100)
         k = NonbondedKernel(ff)
@@ -307,3 +320,47 @@ class TestSegmentReduction:
         )
         with pytest.raises(ValueError, match="built for"):
             block_forces(np.zeros((3, 3)), block, ff)
+
+
+class TestFixedR2Order:
+    """Both paths sum r² as (x² + z²) + y², so per-pair forces agree bitwise.
+
+    On a matching list (every atom in at most one pair) each per-atom sum
+    has a single term, so any difference left would come from the per-pair
+    arithmetic.  Summing r² as (x² + y²) + z² in one path breaks equality.
+    """
+
+    @staticmethod
+    def _matching(ff, periodic, n_pairs=400, seed=0):
+        rng = np.random.default_rng(seed)
+        box = np.array([2.5, 3.0, 3.5])
+        n = 2 * n_pairs
+        pos = rng.uniform(0.0, 1.0, (n, 3)) * box
+        u = rng.normal(size=(n_pairs, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        r = rng.uniform(0.3, 0.98 * ff.cutoff, n_pairs)
+        partner = pos[0::2] + r[:, None] * u
+        # Wrap partners back into the box along periodic dims only, so the
+        # kernels' minimum image has to undo a box shift there.
+        partner = np.where(periodic, np.mod(partner, box), partner)
+        pos[1::2] = partner
+        i = np.arange(0, n, 2)
+        tid = rng.integers(0, 3, n).astype(np.int32)
+        return pos, i, i + 1, tid, ff.charges_for(tid), box
+
+    @pytest.mark.parametrize("coulomb", ("rf", "ewald"))
+    @pytest.mark.parametrize(
+        "periodic",
+        ((True, False, True), (False, True, False), (True, True, True)),
+        ids=("pbc-xz", "pbc-y", "pbc-xyz"),
+    )
+    def test_block_equals_pair_forces_bitwise(self, ff, coulomb, periodic):
+        periodic = np.array(periodic)
+        pos, i, j, tid, q, box = self._matching(ff, periodic)
+        kw = dict(box=box, periodic=periodic, coulomb=coulomb, ewald_beta=3.12)
+        f_ref, e_ref, c_ref = pair_forces(pos, i, j, tid, q, ff, **kw)
+        block = PairBlock(i, j, tid, q, ff, n_atoms=pos.shape[0])
+        f_blk, e_blk, c_blk = block_forces(pos, block, ff, **kw)
+        assert np.count_nonzero(f_ref) == f_ref.size
+        np.testing.assert_array_equal(f_blk, f_ref)
+        assert (e_blk, c_blk) == (e_ref, c_ref)

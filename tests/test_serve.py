@@ -14,6 +14,7 @@ from repro.dd import DDSimulator, resolve_backend_executor
 from repro.md import default_forcefield, make_grappa_system
 from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.tracer import TRACER
+from repro.par import WorkerTaskError
 from repro.serve import (
     ArtifactCache,
     JobCancelled,
@@ -25,6 +26,7 @@ from repro.serve import (
     start_server,
     submit_and_wait,
 )
+from repro.serve.engine import is_worker_death
 
 SPEC = SimulationSpec(system="1400", steps=3, ranks=4, nstlist=2, seed=11)
 
@@ -254,7 +256,8 @@ class TestJobEngine:
         def flaky_runner(spec, *, cache=None, cancel=None):
             attempts.append(1)
             if len(attempts) == 1:
-                raise RuntimeError("process-executor worker 2 failed: died")
+                # What the parent's recv() raises when a worker has died.
+                raise EOFError()
             return {"ok": True}
 
         with JobEngine(workers=1, runner=flaky_runner) as engine:
@@ -271,6 +274,40 @@ class TestJobEngine:
             with pytest.raises(RuntimeError, match="failed.*worker gone"):
                 engine.result(job_id, timeout=60)
             assert engine.status(job_id)["attempts"] == 2
+
+    def test_in_worker_error_is_typed_and_not_retried(self):
+        ff = default_forcefield(cutoff=0.65)
+        system = make_grappa_system(1400, seed=11, ff=ff, dtype=np.float64)
+        sim = DDSimulator(system, ff, n_ranks=2, executor="process", buffer=0.12)
+        with sim:
+            sim.neighbor_search()
+            sim._bind_executor()  # fresh worker workspaces: no pair lists yet
+            with pytest.raises(WorkerTaskError, match="before 'forces_local'") as info:
+                sim.executor.run("forces_local")
+        err = info.value
+        assert not is_worker_death(err)
+        attempts = []
+
+        def runner(spec, *, cache=None, cancel=None):
+            attempts.append(1)
+            raise err
+
+        with JobEngine(workers=1, runner=runner, max_attempts=3) as engine:
+            job_id = engine.submit(SPEC)
+            with pytest.raises(RuntimeError, match="before 'forces_local'"):
+                engine.result(job_id, timeout=60)
+            assert engine.status(job_id)["attempts"] == 1
+        assert len(attempts) == 1
+
+    def test_only_connection_errors_are_worker_death(self):
+        for err in (EOFError(), BrokenPipeError(), ConnectionResetError()):
+            assert is_worker_death(err)
+        for err in (
+            WorkerTaskError("process-executor worker 0 failed: FloatingPointError"),
+            RuntimeError("worker pool misconfigured"),
+            FloatingPointError("overlapping atoms in pair list (r == 0)"),
+        ):
+            assert not is_worker_death(err)
 
     def test_real_failure_does_not_retry(self):
         def bad_physics(spec, *, cache=None, cancel=None):
